@@ -13,38 +13,30 @@ Delay model: fixed per-pin cell delays in ps, load-independent (see
 under required times; ``'area'`` minimizes area flow directly.
 
 Cuts come from the shared :class:`~repro.mapping.engine.MappingSession` cut
-database and Boolean matching runs through the memoizing
-:class:`~repro.mapping.engine.LibraryCostModel`, so repeated mappings of the
-same subject (or the same library) share all the expensive precomputation.
+database, read straight from its flat arrays, and Boolean matching runs
+through the process-wide :class:`~repro.mapping.engine.LibraryCostModel`,
+which compiles every cut function's matches in both phases once.  An
+implementation of a (node, phase) is a resolved ``(area, pins, match)``
+tuple whose pins are ``(leaf, leaf_phase, pin_delay)``; a constant has no
+pins and its value in the match slot, and the inverter is one sentinel per
+mapper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.choice import ChoiceNetwork
-from ..cuts.cut import Cut
 from ..networks.base import LogicNetwork
 from ..networks.netlist import CellNetlist
 from .library import Library
 from .asap7 import asap7_library
 from .engine import MappingSession, library_cost_model
-from .matcher import Match
 
 __all__ = ["AsicMapper", "asic_map"]
 
 INF = float("inf")
-
-
-@dataclass
-class _Impl:
-    """Chosen implementation of one (node, phase)."""
-
-    kind: str                     # "match", "inv" or "const"
-    cut: Optional[Cut] = None
-    match: Optional[Match] = None
-    value: bool = False           # for kind == "const"
 
 
 class AsicMapper:
@@ -67,24 +59,42 @@ class AsicMapper:
         self.cut_limit = cut_limit
         self.flow_iterations = flow_iterations
         self.exact_iterations = exact_iterations
-        self.table = self.costs.table
         self.inv = self.lib.inverter
+        #: the implementation "invert the other phase of this node"
+        self.inv_impl = (self.inv.area, None, None)
 
     # ------------------------------------------------------------------ #
 
     def run(self) -> CellNetlist:
-        import sys
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old_limit, 4 * self.ntk.num_nodes() + 1000))
+        try:
+            return self._run()
+        finally:
+            sys.setrecursionlimit(old_limit)
 
+    def _run(self) -> CellNetlist:
         ntk = self.ntk
         n = ntk.num_nodes()
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
-        self.cuts = self.session.cut_database(self.k, self.cut_limit).cut_lists()
         gate_nodes = self.session.gate_nodes()
+
+        # per gate node: (leaves, both phases' match templates) of every cut
+        # but the node's own trivial cut
+        db = self.session.cut_database(self.k, self.cut_limit)
+        phase_matches = self.costs.phase_matches
+        db_leaves, db_vars, db_bits = db.leaves, db.tt_vars, db.tt_bits
+        self.cands = cands = {}
+        for m in gate_nodes:
+            own = (m,)
+            cands[m] = [(db_leaves[i], phase_matches(db_vars[i], db_bits[i]))
+                        for i in range(*db.spans[m]) if db_leaves[i] != own]
 
         arrival = [[INF, INF] for _ in range(n)]
         flow = [[INF, INF] for _ in range(n)]
-        impl: List[List[Optional[_Impl]]] = [[None, None] for _ in range(n)]
+        impl: List[List[Optional[tuple]]] = [[None, None] for _ in range(n)]
         inv_d, inv_a = self.inv.max_delay(), self.inv.area
+        inv_impl = self.inv_impl
+        resolve = self._resolve
 
         for pi in ntk.pis:
             arrival[pi][0], flow[pi][0] = 0.0, 0.0
@@ -96,72 +106,62 @@ class AsicMapper:
 
         def select(m: int, required: Optional[List[List[float]]]) -> None:
             """(Re)select the best implementation of both phases of node m."""
-            cand: List[List[Tuple[Tuple[float, float], _Impl, float, float]]] = [[], []]
-            for cut in self.cuts[m]:
-                if len(cut.leaves) == 1 and cut.leaves[0] == m:
-                    continue
-                base_tt = cut.tt
-                for phase in (0, 1):
-                    tt = base_tt if phase == 0 else ~base_tt
-                    small, sup = self.costs.min_base(tt)
-                    if small.num_vars == 0:
-                        # the node is constant under this phase: zero-cost tie
-                        cand[phase].append((
-                            (0.0, 0.0), _Impl("const", value=small.is_const1()),
-                            0.0, 0.0,
-                        ))
-                        continue
-                    leaves = [cut.leaves[s] for s in sup]
-                    for match in self.table.lookup(small):
+            delay_first = self.objective == "delay"
+            arr_m, flow_m, impl_m = arrival[m], flow[m], impl[m]
+            for phase in (0, 1):
+                req = INF if required is None else required[m][phase] + 1e-9
+                best = None
+                bkey0 = bkey1 = b_arr = b_fl = INF
+                for leaves, templates in cands[m]:
+                    for tpl in templates[phase]:
+                        fl, pins, _ = tpl
                         arr = 0.0
-                        fl = match.cell.area
-                        ok = True
-                        for pin in range(match.cell.num_pins):
-                            leaf = leaves[match.leaf_of_pin[pin]]
-                            lphase = int(match.pin_phases[pin])
+                        for var, lphase, pin_delay in pins:
+                            leaf = leaves[var]
                             la = arrival[leaf][lphase]
                             if la == INF:
-                                ok = False
                                 break
-                            arr = max(arr, la + match.cell.pin_delays[pin])
+                            la += pin_delay
+                            if la > arr:
+                                arr = la
                             fl += flow[leaf][lphase] / refs[leaf]
-                        if not ok:
-                            continue
-                        if required is not None and arr > required[m][phase] + 1e-9:
-                            continue
-                        key = (arr, fl) if self.objective == "delay" else (fl, arr)
-                        cand[phase].append((key, _Impl("match", cut, match), arr, fl))
-            for phase in (0, 1):
-                if cand[phase]:
-                    key, best, arr, fl = min(cand[phase], key=lambda t: t[0])
-                    impl[m][phase] = best
-                    arrival[m][phase] = arr
-                    flow[m][phase] = fl
-                elif impl[m][phase] is None:
-                    arrival[m][phase] = INF
-                    flow[m][phase] = INF
+                        else:
+                            # constants are a zero-cost tie under any required time
+                            if pins and arr > req:
+                                continue
+                            k0, k1 = (arr, fl) if delay_first else (fl, arr)
+                            if best is None or k0 < bkey0 or (k0 == bkey0 and k1 < bkey1):
+                                best, bkey0, bkey1 = (leaves, tpl), k0, k1
+                                b_arr, b_fl = arr, fl
+                if best is not None:
+                    impl_m[phase] = resolve(*best)
+                    arr_m[phase] = b_arr
+                    flow_m[phase] = b_fl
+                elif impl_m[phase] is None:
+                    arr_m[phase] = INF
+                    flow_m[phase] = INF
                 # else: keep the previous implementation — leaf arrivals may
                 # have drifted past the required time during recovery passes,
                 # but an already-selected match must never be discarded
             # inverter relaxation: implement the weaker phase off the stronger
             for phase in (0, 1):
                 o = 1 - phase
-                if arrival[m][o] == INF:
+                if arr_m[o] == INF:
                     continue
-                via_arr = arrival[m][o] + inv_d
-                via_fl = flow[m][o] + inv_a
+                via_arr = arr_m[o] + inv_d
+                via_fl = flow_m[o] + inv_a
                 if required is not None and via_arr > required[m][phase] + 1e-9:
                     continue
-                cur = (arrival[m][phase], flow[m][phase]) if self.objective == "delay" \
-                    else (flow[m][phase], arrival[m][phase])
-                new = (via_arr, via_fl) if self.objective == "delay" else (via_fl, via_arr)
-                if impl[m][phase] is None or new < cur:
+                cur = (arr_m[phase], flow_m[phase]) if delay_first \
+                    else (flow_m[phase], arr_m[phase])
+                new = (via_arr, via_fl) if delay_first else (via_fl, via_arr)
+                if impl_m[phase] is None or new < cur:
                     # never let both phases be inverters of each other
-                    if impl[m][o] is not None and impl[m][o].kind == "inv":
+                    if impl_m[o] is inv_impl:
                         continue
-                    impl[m][phase] = _Impl("inv")
-                    arrival[m][phase] = via_arr
-                    flow[m][phase] = via_fl
+                    impl_m[phase] = inv_impl
+                    arr_m[phase] = via_arr
+                    flow_m[phase] = via_fl
 
         # ---- pass 1: delay (or plain flow for area objective) ----
         for m in gate_nodes:
@@ -188,6 +188,12 @@ class AsicMapper:
 
         return self._derive(impl)
 
+    @staticmethod
+    def _resolve(leaves: Tuple[int, ...], template: tuple) -> tuple:
+        """A match template bound to a cut's leaves: the implementation."""
+        area, pins, match = template
+        return area, tuple((leaves[v], lp, d) for v, lp, d in pins), match
+
     # -- exact-area machinery -------------------------------------------------
 
     def _phase_refs(self, impl) -> List[List[int]]:
@@ -204,17 +210,14 @@ class AsicMapper:
             if not ntk.is_gate(node):
                 continue
             im = impl[node][phase]
-            if im is None or im.kind == "const":
+            if im is None:
                 continue
-            if im.kind == "inv":
+            if im is self.inv_impl:
                 refs[node][1 - phase] += 1
                 if refs[node][1 - phase] == 1:
                     stack.append((node, 1 - phase))
                 continue
-            leaves, match = self._match_leaves(im)
-            for pin in range(match.cell.num_pins):
-                leaf = leaves[match.leaf_of_pin[pin]]
-                lp = int(match.pin_phases[pin])
+            for leaf, lp, _ in im[1]:
                 refs[leaf][lp] += 1
                 if refs[leaf][lp] == 1:
                     stack.append((leaf, lp))
@@ -228,11 +231,7 @@ class AsicMapper:
         if ntk.is_pi(node):
             return self.inv.area if phase else 0.0
         im = impl[node][phase]
-        if im is None:
-            return INF
-        if im.kind == "const":
-            return 0.0
-        return self.inv.area if im.kind == "inv" else im.match.cell.area
+        return INF if im is None else im[0]
 
     def _node_ref(self, node: int, phase: int, refs, impl) -> float:
         """Add one reference to (node, phase); returns newly materialized area."""
@@ -255,28 +254,20 @@ class AsicMapper:
 
     def _inputs_ref(self, node: int, phase: int, refs, impl) -> float:
         im = impl[node][phase]
-        if im.kind == "const":
-            return 0.0
-        if im.kind == "inv":
+        if im is self.inv_impl:
             return self._node_ref(node, 1 - phase, refs, impl)
-        leaves, match = self._match_leaves(im)
         area = 0.0
-        for pin in range(match.cell.num_pins):
-            leaf = leaves[match.leaf_of_pin[pin]]
-            area += self._node_ref(leaf, int(match.pin_phases[pin]), refs, impl)
+        for leaf, lp, _ in im[1]:
+            area += self._node_ref(leaf, lp, refs, impl)
         return area
 
     def _inputs_deref(self, node: int, phase: int, refs, impl) -> float:
         im = impl[node][phase]
-        if im.kind == "const":
-            return 0.0
-        if im.kind == "inv":
+        if im is self.inv_impl:
             return self._node_deref(node, 1 - phase, refs, impl)
-        leaves, match = self._match_leaves(im)
         area = 0.0
-        for pin in range(match.cell.num_pins):
-            leaf = leaves[match.leaf_of_pin[pin]]
-            area += self._node_deref(leaf, int(match.pin_phases[pin]), refs, impl)
+        for leaf, lp, _ in im[1]:
+            area += self._node_deref(leaf, lp, refs, impl)
         return area
 
     def _exact_area_pass(self, gate_nodes, arrival, impl, required) -> None:
@@ -284,48 +275,43 @@ class AsicMapper:
         refs = self._phase_refs(impl)
         for m in gate_nodes:
             for phase in (0, 1):
-                if refs[m][phase] == 0 or impl[m][phase] is None:
-                    continue
-                if impl[m][phase].kind in ("inv", "const"):
-                    continue  # inverters re-decide through their base phase
                 old = impl[m][phase]
-                old_arr = arrival[m][phase]
+                # inverters re-decide through their base phase; constants stay
+                if refs[m][phase] == 0 or old is None or old is self.inv_impl or not old[1]:
+                    continue
+                best_impl = old
+                best_arr = arrival[m][phase]
                 # release the current implementation's input charges
                 self._inputs_deref(m, phase, refs, impl)
-                best_key = (old.match.cell.area + self._trial_area(m, phase, old, refs, impl),
-                            old_arr)
-                best_impl, best_arr = old, old_arr
-                for cut in self.cuts[m]:
-                    if len(cut.leaves) == 1 and cut.leaves[0] == m:
-                        continue
-                    tt = cut.tt if phase == 0 else ~cut.tt
-                    small, sup = self.costs.min_base(tt)
-                    if small.num_vars == 0:
-                        continue
-                    leaves = [cut.leaves[s] for s in sup]
-                    for match in self.table.lookup(small):
-                        arr = 0.0
-                        ok = True
-                        for pin in range(match.cell.num_pins):
-                            leaf = leaves[match.leaf_of_pin[pin]]
-                            la = arrival[leaf][int(match.pin_phases[pin])]
-                            if la == INF:
-                                ok = False
-                                break
-                            arr = max(arr, la + match.cell.pin_delays[pin])
-                        if not ok or arr > required[m][phase] + 1e-9:
+                best_gain = old[0] + self._trial_area(m, phase, old, refs, impl)
+                req = required[m][phase] + 1e-9
+                for leaves, templates in self.cands[m]:
+                    for tpl in templates[phase]:
+                        area, pins, _ = tpl
+                        # gained area = cell area + a never-negative trial
+                        # area, so a cell larger than the best cannot win
+                        if not pins or area > best_gain:
                             continue
-                        cand = _Impl("match", cut, match)
-                        gained = match.cell.area + self._trial_area(m, phase, cand, refs, impl)
-                        key = (gained, arr)
-                        if key < best_key:
-                            best_key = key
-                            best_impl, best_arr = cand, arr
+                        arr = 0.0
+                        for var, lphase, pin_delay in pins:
+                            la = arrival[leaves[var]][lphase]
+                            if la == INF:
+                                break
+                            la += pin_delay
+                            if la > arr:
+                                arr = la
+                        else:
+                            if arr > req:
+                                continue
+                            cand = self._resolve(leaves, tpl)
+                            gained = area + self._trial_area(m, phase, cand, refs, impl)
+                            if gained < best_gain or (gained == best_gain and arr < best_arr):
+                                best_gain, best_arr, best_impl = gained, arr, cand
                 impl[m][phase] = best_impl
                 arrival[m][phase] = best_arr
                 self._inputs_ref(m, phase, refs, impl)
 
-    def _trial_area(self, node: int, phase: int, cand: "_Impl", refs, impl) -> float:
+    def _trial_area(self, node: int, phase: int, cand: tuple, refs, impl) -> float:
         """Input area a candidate implementation would materialize."""
         saved = impl[node][phase]
         impl[node][phase] = cand
@@ -365,25 +351,13 @@ class AsicMapper:
                 if req == INF or impl[m][phase] is None:
                     continue
                 im = impl[m][phase]
-                if im.kind == "const":
-                    continue
-                if im.kind == "inv":
+                if im is self.inv_impl:
                     o = 1 - phase
                     required[m][o] = min(required[m][o], req - self.inv.max_delay())
                 else:
-                    leaves, match = self._match_leaves(im)
-                    for pin in range(match.cell.num_pins):
-                        leaf = leaves[match.leaf_of_pin[pin]]
-                        lp = int(match.pin_phases[pin])
-                        required[leaf][lp] = min(
-                            required[leaf][lp], req - match.cell.pin_delays[pin]
-                        )
+                    for leaf, lp, pin_delay in im[1]:
+                        required[leaf][lp] = min(required[leaf][lp], req - pin_delay)
         return required
-
-    def _match_leaves(self, im: _Impl) -> Tuple[List[int], Match]:
-        _, sup = self.costs.min_base(im.cut.tt)
-        leaves = [im.cut.leaves[s] for s in sup]
-        return leaves, im.match
 
     def _cover_refs(self, impl) -> List[int]:
         """Combined (both-phase) reference counts of the current cover."""
@@ -401,18 +375,16 @@ class AsicMapper:
                 continue
             seen.add((node, phase))
             im = impl[node][phase]
-            if im is None or im.kind == "const":
+            if im is None:
                 continue
-            if im.kind == "inv":
+            if im is self.inv_impl:
                 refs[node] += 1
                 stack.append((node, 1 - phase))
                 continue
-            leaves, match = self._match_leaves(im)
-            for pin in range(match.cell.num_pins):
-                leaf = leaves[match.leaf_of_pin[pin]]
+            for leaf, lp, _ in im[1]:
                 refs[leaf] += 1
                 if ntk.is_gate(leaf):
-                    stack.append((leaf, int(match.pin_phases[pin])))
+                    stack.append((leaf, lp))
         return [max(1, r) for r in refs]
 
     def _derive(self, impl) -> CellNetlist:
@@ -433,34 +405,19 @@ class AsicMapper:
             im = impl[node][phase]
             if im is None:
                 raise RuntimeError(f"phase {phase} of node {node} not implemented")
-            if im.kind == "const":
-                net = netlist.const1 if im.value else netlist.const0
-                net_of[key] = net
-                return net
-            if im.kind == "inv":
-                src = materialize(node, 1 - phase)
-                net = netlist.add_cell(self.inv, (src,))
-                net_of[key] = net
-                return net
-            leaves, match = self._match_leaves(im)
-            pins = []
-            for pin in range(match.cell.num_pins):
-                leaf = leaves[match.leaf_of_pin[pin]]
-                pins.append(materialize(leaf, int(match.pin_phases[pin])))
-            net = netlist.add_cell(match.cell, tuple(pins))
+            if im is self.inv_impl:
+                net = netlist.add_cell(self.inv, (materialize(node, 1 - phase),))
+            elif not im[1]:  # the constant entry: its match slot is the value
+                net = netlist.const1 if im[2] else netlist.const0
+            else:
+                pins = tuple(materialize(leaf, lp) for leaf, lp, _ in im[1])
+                net = netlist.add_cell(im[2].cell, pins)
             net_of[key] = net
             return net
 
-        # iterative wrapper to avoid deep recursion on long chains
-        import sys
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 4 * ntk.num_nodes() + 1000))
-        try:
-            for p, name in zip(ntk.pos, ntk.po_names):
-                node, phase = p >> 1, p & 1
-                netlist.create_po(materialize(node, phase), name)
-        finally:
-            sys.setrecursionlimit(old_limit)
+        for p, name in zip(ntk.pos, ntk.po_names):
+            node, phase = p >> 1, p & 1
+            netlist.create_po(materialize(node, phase), name)
         return netlist
 
 

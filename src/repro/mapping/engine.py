@@ -8,14 +8,15 @@ This module is the common substrate of all three cut-based mappers:
   ``(k, cut_limit)`` — computed once and shared by every mapper pass and
   consumer.  Sessions are cached on the subject network and invalidated
   automatically when the network (or its choice structure) mutates.
-* The :class:`CostModel` protocol is the unified cost layer: the K-LUT
-  mapper uses :class:`UnitCostModel` (one LUT per cut), graph mapping uses
-  :class:`NpnCostModel` (estimated target-representation gate count), and
-  the ASIC mapper's Boolean matching runs through :class:`LibraryCostModel`
-  (memoized min-base reduction + library match lookup).
-* :func:`run_cover` is the single covering pipeline — depth-oriented pass,
-  global required times, area-flow recovery and exact-area recovery with
-  reference counting — that used to be duplicated across the mappers.
+* The :class:`CostModel` protocol is the cost layer of the single-phase
+  mappers: the K-LUT mapper uses :class:`UnitCostModel` (one LUT per cut)
+  and graph mapping uses :class:`NpnCostModel` (estimated
+  target-representation gate count).  The phase-aware ASIC mapper runs its
+  own cover over :class:`LibraryCostModel`'s match templates, compiled
+  once per cut function.
+* :func:`run_cover` is the covering pipeline of the LUT and graph mappers —
+  depth-oriented pass, global required times, area-flow recovery and
+  exact-area recovery with reference counting.
 """
 
 from __future__ import annotations
@@ -277,9 +278,11 @@ class LibraryCostModel:
     """Boolean-matching cost layer for standard-cell mapping.
 
     Owns the pre-expanded :class:`~repro.mapping.matcher.MatchTable` of a
-    library and memoizes the min-base reduction (support minimization) of
-    every cut function it sees — the part the phase-aware mapper used to
-    recompute for every (cut, phase, pass) triple.
+    library and compiles every cut function it sees into match templates
+    for both output phases, once per process, so no (cut, phase, pass) of
+    the phase-aware mapper repeats a min-base reduction or match lookup.
+    The memo needs no bound: its keys are functions of at most
+    ``max_pins`` <= 4 inputs, about 65.8k of them.
     """
 
     def __init__(self, library, max_pins: int = 4):
@@ -289,27 +292,42 @@ class LibraryCostModel:
         self.max_pins = min(max_pins, library.max_pins)
         self.table = MatchTable(library, max_pins=self.max_pins)
         self.inverter = library.inverter
-        self._minbase: Dict[Tuple[int, int], Tuple[TruthTable, Tuple[int, ...]]] = {}
+        self._templates: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}
 
-    def min_base(self, tt: TruthTable) -> Tuple[TruthTable, Tuple[int, ...]]:
-        """Memoized ``tt.min_base()`` — (support-reduced tt, support vars)."""
-        key = (tt.num_vars, tt.bits)
-        got = self._minbase.get(key)
+    def phase_matches(self, tt_vars: int, tt_bits: int) -> Tuple[tuple, tuple]:
+        """Match templates of a raw cut function, for output phases 0 and 1.
+
+        Each phase is a tuple of ``(area, pins, match)`` in match-table
+        order, one pin ``(cut_var, leaf_phase, pin_delay)`` per cell pin.  A
+        function that is constant under a phase gets the one constant entry
+        ``(0.0, (), value)`` instead.  Memoized: repeat calls return the
+        same objects.
+        """
+        key = (tt_vars, tt_bits)
+        got = self._templates.get(key)
         if got is None:
-            small, sup = tt.min_base()
-            got = (small, tuple(sup))
-            self._minbase[key] = got
+            tt = TruthTable(tt_vars, tt_bits)
+            got = (self._templates_of(tt), self._templates_of(~tt))
+            self._templates[key] = got
         return got
 
-    def matches(self, small: TruthTable):
-        """Library matches realizing exactly ``small`` (same polarity)."""
-        return self.table.lookup(small)
+    def _templates_of(self, tt: TruthTable) -> tuple:
+        small, sup = tt.min_base()
+        if small.num_vars == 0:
+            return ((0.0, (), small.is_const1()),)
+        return tuple(
+            (m.cell.area,
+             tuple((sup[v], int(ph), d)
+                   for v, ph, d in zip(m.leaf_of_pin, m.pin_phases, m.cell.pin_delays)),
+             m)
+            for m in self.table.lookup(small)
+        )
 
     def stats(self) -> dict:
         return {
             "library": self.library.name,
             "table_entries": self.table.num_entries(),
-            "minbase_memo": len(self._minbase),
+            "template_memo": len(self._templates),
         }
 
 
@@ -334,6 +352,11 @@ def library_cost_model(library, max_pins: int = 4) -> LibraryCostModel:
     else:
         _LIBRARY_MODELS.move_to_end(key)
     return model
+
+
+def library_model_stats() -> List[dict]:
+    """``stats()`` of every cached :class:`LibraryCostModel`."""
+    return [model.stats() for model in _LIBRARY_MODELS.values()]
 
 
 # ---------------------------------------------------------------------- #
@@ -363,7 +386,7 @@ def run_cover(session: MappingSession, cost_model: CostModel, *,
     The classic priority-cuts pipeline (Mishchenko et al., ICCAD'07 /
     FPGA'06): a depth-oriented pass, global required-time computation,
     area-flow recovery passes and exact-area recovery passes with reference
-    counting.  Every mapper consumes this one implementation.
+    counting.  The LUT and graph mappers consume this one implementation.
     """
     if objective not in ("delay", "area"):
         raise ValueError("objective must be 'delay' or 'area'")

@@ -121,6 +121,8 @@ def build_from_cubes(ntk: LogicNetwork, cubes: List[Cube], leaf_lits: Sequence[i
                     counts[(v, True)] = counts.get((v, True), 0) + 1
                 m >>= 1
                 v += 1
+        if not counts:  # only literal-free cubes left: their OR is 1
+            return ntk.const1
         (var, negated), best = max(counts.items(), key=lambda kv: kv[1])
         if best < 2:
             terms = [cube_and(c) for c in cs]

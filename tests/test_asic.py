@@ -1,5 +1,7 @@
 """Tests for the standard-cell library, Boolean matcher and ASIC mapper."""
 
+import sys
+
 import pytest
 
 from repro.circuits import build
@@ -174,3 +176,89 @@ class TestAsicMapper:
         assert sum(hist.values()) == nl.num_cells()
         v = write_verilog_netlist(nl)
         assert v.startswith("module top") and v.rstrip().endswith("endmodule")
+
+
+# A small library whose cells tie in area (and2/and2b are the same cell under
+# two names), so the mapper's first-minimum tie-break decides the cover.
+TIE_GENLIB = """
+GATE inv   1.0 O=!A;        PIN * INV 1 999 1.0 0.0 1.0 0.0
+GATE buf   2.0 O=A;         PIN * NONINV 1 999 1.0 0.0 1.0 0.0
+GATE nand2 2.0 O=!(A*B);    PIN * INV 1 999 1.0 0.0 1.0 0.0
+GATE nor2  2.0 O=!(A+B);    PIN * INV 1 999 1.0 0.0 1.0 0.0
+GATE and2  2.0 O=A*B;       PIN * NONINV 1 999 1.0 0.0 1.0 0.0
+GATE or2   2.0 O=A+B;       PIN * NONINV 1 999 1.0 0.0 1.0 0.0
+GATE and2b 2.0 O=A*B;       PIN * NONINV 1 999 1.0 0.0 1.0 0.0
+GATE xor2  3.0 O=A^B;       PIN * UNKNOWN 1 999 2.0 0.0 2.0 0.0
+GATE xnor2 3.0 O=!(A^B);    PIN * UNKNOWN 1 999 2.0 0.0 2.0 0.0
+GATE aoi21 3.0 O=!(A*B+C);  PIN * INV 1 999 1.5 0.0 1.5 0.0
+GATE oai21 3.0 O=!((A+B)*C); PIN * INV 1 999 1.5 0.0 1.5 0.0
+"""
+
+# (circuit, subject, objective) -> exact (area, delay) on ASAP7
+GOLDEN_ASAP7 = {
+    ("adder", "aig", "delay"): (4.942, 96.0),
+    ("adder", "aig", "area"): (3.267000000000001, 136.0),
+    ("adder", "mch", "delay"): (4.982, 88.0),
+    ("adder", "mch", "area"): (3.3219999999999996, 132.0),
+    ("ctrl", "aig", "delay"): (16.525000000000006, 60.0),
+    ("ctrl", "aig", "area"): (15.984000000000004, 74.0),
+    ("ctrl", "mch", "delay"): (17.174000000000014, 57.0),
+    ("ctrl", "mch", "area"): (16.551000000000013, 69.0),
+    ("int2float", "aig", "delay"): (5.183999999999998, 84.0),
+    ("int2float", "aig", "area"): (4.105, 105.0),
+    ("int2float", "mch", "delay"): (5.103, 84.0),
+    ("int2float", "mch", "area"): (4.077999999999999, 105.0),
+    ("router", "aig", "delay"): (13.270999999999992, 66.0),
+    ("router", "aig", "area"): (12.905999999999995, 75.0),
+    ("router", "mch", "delay"): (13.189999999999994, 71.0),
+    ("router", "mch", "area"): (13.040999999999995, 76.0),
+}
+
+# (circuit, objective) -> exact (area, delay, cell histogram) on TIE_GENLIB
+GOLDEN_TIE = {
+    ("adder", "delay"): (70.0, 13.5, {"and2": 1, "nand2": 10, "oai21": 5, "xor2": 11}),
+    ("ctrl", "area"): (484.0, 7.5, {"and2": 22, "aoi21": 47, "inv": 7, "nand2": 21,
+                                    "nor2": 23, "oai21": 52, "or2": 24}),
+    ("int2float", "delay"): (122.0, 10.5, {"and2": 12, "aoi21": 9, "inv": 4, "nor2": 8,
+                                           "oai21": 9, "or2": 12}),
+    ("router", "area"): (428.0, 9.0, {"and2": 20, "aoi21": 22, "inv": 12, "nand2": 38,
+                                      "nor2": 30, "oai21": 38, "or2": 30}),
+}
+
+
+class TestAsicGolden:
+    """Exact Table-I QoR: a mapper change that moves any float fails here."""
+
+    @pytest.mark.parametrize("name", ["adder", "ctrl", "int2float", "router"])
+    def test_asap7_area_delay_exact(self, name):
+        ntk = build(name, "tiny")
+        subjects = {
+            "aig": ntk,
+            "mch": build_mch(ntk, MchParams(representations=(Xmg, Xag), ratio=0.8)),
+        }
+        for kind, subject in subjects.items():
+            for objective in ("delay", "area"):
+                nl = asic_map(subject, objective=objective)
+                assert (nl.area(), nl.delay()) == GOLDEN_ASAP7[(name, kind, objective)], \
+                    (name, kind, objective)
+
+    @pytest.mark.parametrize("name,objective", sorted(GOLDEN_TIE))
+    def test_tied_library_exact(self, name, objective):
+        lib = parse_genlib(TIE_GENLIB, name="tie")
+        nl = asic_map(build(name, "tiny"), library=lib, objective=objective)
+        area, delay, hist = GOLDEN_TIE[(name, objective)]
+        assert (nl.area(), nl.delay()) == (area, delay)
+        assert nl.cell_histogram() == hist  # first of the tied and2/and2b wins
+
+
+def test_asic_map_restores_recursion_limit():
+    ntk = build("adder", "tiny")
+    saved = sys.getrecursionlimit()
+    low = 1100  # below the 4 * nodes + 1000 the mapper asks for
+    assert 4 * ntk.num_nodes() + 1000 > low
+    sys.setrecursionlimit(low)
+    try:
+        asic_map(ntk)
+        assert sys.getrecursionlimit() == low
+    finally:
+        sys.setrecursionlimit(saved)

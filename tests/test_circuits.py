@@ -164,6 +164,13 @@ class TestControl:
         from repro.sat import cec
         assert cec(a, b)
 
+    @pytest.mark.parametrize("seed", [3, 7, 9])
+    def test_random_control_duplicate_cube_seeds_build(self, seed):
+        # these seeds draw repeated cubes for ctrl's shape
+        from repro.circuits.control import random_control
+        ntk = random_control("ctrl", 7, 25, 6, 5, seed=seed)
+        assert ntk.num_pos() == 25 and ntk.num_gates() > 0
+
 
 class TestRegistry:
     def test_all_benchmarks_build_tiny(self):

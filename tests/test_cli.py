@@ -141,6 +141,11 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "cells" in out and "engine stats" in out
 
+    def test_map_asic_engine_stats_show_template_memo(self, capsys):
+        assert main(["map-asic", "adder", "--scale", "tiny",
+                     "--engine-stats"]) == 0
+        assert '"template_memo"' in capsys.readouterr().out
+
     def test_passes_links_docs(self, capsys):
         assert main(["passes"]) == 0
         assert "docs/flow-dsl.md" in capsys.readouterr().out

@@ -13,6 +13,7 @@ from repro.circuits import build
 from repro.core import ChoiceNetwork, MchParams, build_mch
 from repro.cuts.database import CutDatabase
 from repro.mapping import (
+    LibraryCostModel,
     MappingSession,
     NpnCostModel,
     UnitCostModel,
@@ -25,6 +26,7 @@ from repro.mapping import (
 from repro.mapping.asap7 import asap7_library
 from repro.networks import Aig, Xmg
 from repro.sat import cec
+from repro.truth.truth_table import TruthTable
 
 CIRCUITS = ["adder", "ctrl", "int2float", "max", "router", "cavlc"]
 
@@ -98,17 +100,34 @@ class TestCostModels:
         lib = asap7_library()
         assert library_cost_model(lib, 4) is library_cost_model(lib, 4)
 
-    def test_library_min_base_memoized(self):
-        lib = asap7_library()
-        model = library_cost_model(lib, 4)
-        ntk = build("ctrl", "tiny")
-        db = CutDatabase(ntk, k=4, cut_limit=6)
-        cut = db.cuts(max(ntk.gates()))[0]
-        small, sup = model.min_base(cut.tt)
-        small2, sup2 = model.min_base(cut.tt)
-        assert small.bits == small2.bits and sup == sup2
-        ref_small, ref_sup = cut.tt.min_base()
-        assert small.bits == ref_small.bits and list(sup) == list(ref_sup)
+    @staticmethod
+    def _reference_templates(table, tt):
+        """The per-call path the templates replace: min_base + lookup."""
+        small, sup = tt.min_base()
+        if small.num_vars == 0:
+            return ((0.0, (), small.is_const1()),)
+        return tuple(
+            (m.cell.area,
+             tuple((sup[m.leaf_of_pin[p]], int(m.pin_phases[p]), m.cell.pin_delays[p])
+                   for p in range(m.cell.num_pins)),
+             m)
+            for m in table.lookup(small)
+        )
+
+    def test_phase_matches_agree_with_min_base_lookup(self):
+        model = LibraryCostModel(asap7_library(), 4)
+        functions = {(2, 0b0000), (2, 0b1111), (3, 0b11110000)}  # incl. constants
+        for name in ("ctrl", "adder"):
+            db = CutDatabase(build(name, "tiny"), k=4, cut_limit=8)
+            functions.update(zip(db.tt_vars, db.tt_bits))
+        for nv, bits in sorted(functions):
+            got = model.phase_matches(nv, bits)
+            tt = TruthTable(nv, bits)
+            assert got == (self._reference_templates(model.table, tt),
+                           self._reference_templates(model.table, ~tt)), (nv, bits)
+            assert model.phase_matches(nv, bits) is got
+        assert model.stats()["template_memo"] == len(functions)
+        assert model.phase_matches(2, 0) == (((0.0, (), False),), ((0.0, (), True),))
 
     def test_run_cover_rejects_bad_objective(self):
         ntk = build("ctrl", "tiny")

@@ -14,6 +14,7 @@ from repro.synthesis import (
     synthesize_candidates,
     synthesize_tt,
 )
+from repro.synthesis.factoring import build_from_cubes
 from repro.truth.truth_table import TruthTable
 
 
@@ -23,6 +24,27 @@ def check_realizes(cls, tt, method):
     out = synthesize_tt(ntk, tt, leaves, method=method)
     ntk.create_po(out)
     assert ntk.simulate_truth_tables()[0] == tt, (cls.__name__, method, tt)
+
+
+class TestBuildFromCubes:
+    @pytest.mark.parametrize("cubes", [
+        [(0b011, 0), (0b011, 0), (0b100, 0)],      # a.b + a.b + c
+        [(0b001, 0b010), (0b001, 0b010)],          # a.!b twice
+        [(0b001, 0), (0b001, 0), (0, 0b110)],      # a + a + !b.!c
+        [(0b101, 0b010)] * 3 + [(0b010, 0)],
+    ])
+    def test_duplicate_cubes_realize_their_or(self, cubes):
+        ntk = Aig()
+        leaves = [ntk.create_pi() for _ in range(3)]
+        ntk.create_po(build_from_cubes(ntk, cubes, leaves))
+        for x in range(8):
+            bits = [bool((x >> v) & 1) for v in range(3)]
+            expect = any(
+                all(bits[v] for v in range(3) if (pos >> v) & 1)
+                and not any(bits[v] for v in range(3) if (neg >> v) & 1)
+                for pos, neg in cubes
+            )
+            assert ntk.simulate(bits) == [expect], (cubes, bits)
 
 
 class TestSynthesizeTt:

@@ -31,6 +31,7 @@ from ..cuts.database import CutDatabase
 from ..networks.base import GateType, LogicNetwork, require_combinational
 from ..networks.mixed import MixedNetwork
 from ..synthesis.strategies import StrategyLibrary, synthesize_candidates
+from ..truth.truth_table import TruthTable
 from .choice import ChoiceNetwork
 from .critical import critical_nodes
 
@@ -91,12 +92,11 @@ def build_mch(ntk: LogicNetwork, params: Optional[MchParams] = None) -> ChoiceNe
     fanout_counts = mixed.fanout_counts()
 
     for node in original_gates:
+        sources = _node_cut_functions(cuts, node, params)
         if node in critical:
             strategy = params.strategies.for_objective("level")
-            sources = _node_cut_functions(mixed, cuts, node, params)
         else:
             strategy = params.strategies.for_objective("area")
-            sources = _node_cut_functions(mixed, cuts, node, params)
             mffc_source = _mffc_function(mixed, node, fanout_counts, params)
             if mffc_source is not None:
                 sources.append(mffc_source)
@@ -108,18 +108,21 @@ def build_mch(ntk: LogicNetwork, params: Optional[MchParams] = None) -> ChoiceNe
     return choice_net
 
 
-def _node_cut_functions(mixed: MixedNetwork, cuts: CutDatabase, node: int, params: MchParams):
-    """(tt, leaf literals) pairs for the node's most useful cuts."""
+def _node_cut_functions(cuts: CutDatabase, node: int, params: MchParams):
+    """(tt, leaf literals) pairs for the node's most useful cuts.
+
+    Reads the database's flat arrays; a :class:`TruthTable` is built only
+    for the at most ``max_cuts_per_node`` cuts taken.
+    """
     out = []
-    taken = 0
-    for cut in cuts.cuts(node):
-        if len(cut.leaves) < params.min_cut_size:
+    db_leaves, db_vars, db_bits = cuts.leaves, cuts.tt_vars, cuts.tt_bits
+    for i in range(*cuts.spans[node]):
+        leaves = db_leaves[i]
+        if len(leaves) < params.min_cut_size:
             continue
-        if taken >= params.max_cuts_per_node:
+        if len(out) >= params.max_cuts_per_node:
             break
-        taken += 1
-        leaf_lits = [leaf << 1 for leaf in cut.leaves]
-        out.append((cut.tt, leaf_lits))
+        out.append((TruthTable(db_vars[i], db_bits[i]), [leaf << 1 for leaf in leaves]))
     return out
 
 

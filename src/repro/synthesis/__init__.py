@@ -5,6 +5,9 @@ from .factoring import (
     build_from_cubes,
     build_from_dsd,
     build_shannon,
+    replay_plan,
+    synthesis_plan,
+    synthesis_plan_stats,
     synthesize_tt,
 )
 from .npn_db import NpnCostCache
@@ -23,6 +26,9 @@ __all__ = [
     "build_from_dsd",
     "build_shannon",
     "synthesize_tt",
+    "synthesis_plan",
+    "replay_plan",
+    "synthesis_plan_stats",
     "NpnCostCache",
     "build_exact",
     "exact_gate_count",

@@ -146,6 +146,20 @@ class TestRunCommand:
                      "--engine-stats"]) == 0
         assert '"template_memo"' in capsys.readouterr().out
 
+    def test_map_asic_mch_engine_stats_show_plan_memo(self, capsys):
+        import json
+
+        from repro.synthesis.factoring import _plan_cached
+
+        _plan_cached.cache_clear()
+        assert main(["map-asic", "ctrl", "--scale", "tiny", "--mch",
+                     "--engine-stats"]) == 0
+        out = capsys.readouterr().out
+        stats = json.loads(out.split("engine stats:", 1)[1])
+        plans = stats["synthesis_plans"]
+        assert plans["hits"] > 0 and plans["misses"] > 0
+        assert 0 < plans["size"] <= plans["limit"]
+
     def test_passes_links_docs(self, capsys):
         assert main(["passes"]) == 0
         assert "docs/flow-dsl.md" in capsys.readouterr().out

@@ -487,16 +487,27 @@ class TestSinkRearm:
 
 @fork_only
 class TestServeGovernance:
-    def _saturate(self, client, hang=1.5):
+    def _saturate(self, client, daemon, hang=1.5):
         """Fill a jobs=1, max_queued=1 daemon: one hanging job running,
         one queued.  Returns the two job ids."""
         ids = []
         for circuit in ("ctrl", "dec"):
+            # the pool's supervisor thread dispatches asynchronously: submit
+            # the second job only once the first has left the queue, or the
+            # second one is shed as over max_queued
+            self._wait_dispatched(daemon)
             job = client.submit(circuit, flow="b; rf", scale="tiny",
                                 timeout=30,
                                 faults={circuit: ("hang", 0, hang, 13)})
             ids.append(job["id"])
         return ids
+
+    def _wait_dispatched(self, daemon):
+        for _ in range(100):
+            if daemon.pool.stats()["queue_depth"] == 0:
+                return
+            time.sleep(0.05)
+        raise AssertionError("queued job never dispatched")
 
     def _wait_queued(self, daemon):
         for _ in range(100):
@@ -512,7 +523,7 @@ class TestServeGovernance:
                          store=tmp_path / "serve.jsonl") as daemon:
             client = ServeClient(port=daemon.port, retries=0)
             cached = client.run("adder", flow="b", scale="tiny")
-            ids = self._saturate(client)
+            ids = self._saturate(client, daemon)
             self._wait_queued(daemon)
             with pytest.raises(ServeError) as info:
                 client.submit("square", flow="b; rf", scale="tiny")
@@ -542,7 +553,7 @@ class TestServeGovernance:
             client = ServeClient(port=daemon.port, retries=0)
             assert client.healthz()["ok"]
             assert client.readyz()["ready"]
-            ids = self._saturate(client)
+            ids = self._saturate(client, daemon)
             self._wait_queued(daemon)
             ready = client.readyz()
             assert not ready["ready"]

@@ -1,5 +1,7 @@
 """Tests for structure builders, NPN cost cache and the strategy library."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,15 @@ from repro.synthesis import (
     synthesize_candidates,
     synthesize_tt,
 )
-from repro.synthesis.factoring import build_from_cubes
+from repro.synthesis.factoring import (
+    PLAN_MEMO_LIMIT,
+    PLAN_MEMO_MAX_VARS,
+    _plan_cached,
+    build_from_cubes,
+    replay_plan,
+    synthesis_plan,
+    synthesis_plan_stats,
+)
 from repro.truth.truth_table import TruthTable
 
 
@@ -181,3 +191,104 @@ class TestStrategyLibrary:
         from repro.synthesis import SynthesisStrategy
         with pytest.raises(ValueError):
             SynthesisStrategy("x", ("sop",), "both")
+
+
+def _host(seed):
+    """A mixed network with PIs and AND gates of varied levels."""
+    rng = random.Random(seed)
+    ntk = MixedNetwork()
+    lits = [ntk.create_pi() for _ in range(8)]
+    for _ in range(16):
+        a, b = rng.sample(lits, 2)
+        lits.append(ntk.create_and(a ^ rng.randint(0, 1), b ^ rng.randint(0, 1)))
+    return ntk, lits
+
+
+def _gate_list(ntk):
+    return [(ntk.node_type(n), ntk.fanins(n)) for n in range(ntk.num_nodes())]
+
+
+def _sample_functions(num_vars, count, seed):
+    rng = random.Random(seed)
+    return [TruthTable(num_vars, rng.getrandbits(1 << num_vars)) for _ in range(count)]
+
+
+#: every function of <= 3 inputs, a seeded sample of 4 and 5 inputs
+NARROW = ([TruthTable(n, bits) for n in range(4) for bits in range(1 << (1 << n))]
+          + _sample_functions(4, 40, 4) + _sample_functions(5, 25, 5))
+#: wider than the memo takes
+WIDE = _sample_functions(6, 4, 6) + _sample_functions(7, 2, 7) + _sample_functions(8, 2, 8)
+
+
+class TestSynthesisPlans:
+    def _build_all(self, rep, funcs, cold):
+        """Every method of every function into one host; (outputs, gates)."""
+        ntk, lits = _host(0)
+        view = rep_view(ntk, rep)
+        rng = random.Random(1)
+        outs = []
+        for tt in funcs:
+            # duplicate, complemented and deep leaves exercise every collapse
+            leaves = [rng.choice(lits) ^ rng.randint(0, 1) for _ in range(tt.num_vars)]
+            for method in SYNTHESIS_METHODS:
+                if cold:
+                    _plan_cached.cache_clear()
+                outs.append(synthesize_tt(view, tt, leaves, method=method))
+        return outs, _gate_list(ntk)
+
+    @pytest.mark.parametrize("rep", [Aig, Xag, Mig, Xmg])
+    def test_cold_and_warm_memo_build_identical_networks(self, rep):
+        funcs = NARROW + WIDE
+        cold = self._build_all(rep, funcs, cold=True)
+        for tt in NARROW:   # warm the memo
+            for method in SYNTHESIS_METHODS:
+                synthesis_plan(tt, method)
+        before = synthesis_plan_stats()
+        warm = self._build_all(rep, funcs, cold=False)
+        after = synthesis_plan_stats()
+        assert warm == cold
+        assert after["hits"] - before["hits"] == len(NARROW) * len(SYNTHESIS_METHODS)
+        assert after["misses"] == before["misses"]
+
+    def test_shared_plan_replays_into_separate_networks(self):
+        tt = TruthTable.from_hex(4, "cafe")
+        for method in SYNTHESIS_METHODS:
+            plan = synthesis_plan(tt, method)
+            assert synthesis_plan(tt, method) is plan
+            first, lits1 = _host(1)
+            second, lits2 = _host(2)
+            leaves1 = lits1[-4:]
+            leaves2 = [lit ^ 1 for lit in reversed(lits2[8:12])]
+            gates2 = _gate_list(second)
+            out1 = replay_plan(first, plan, leaves1)
+            snapshot = _gate_list(first)
+            out2 = replay_plan(second, plan, leaves2)
+            assert _gate_list(first) == snapshot    # untouched by the second replay
+            assert _gate_list(second)[:len(gates2)] == gates2
+            assert replay_plan(first, plan, leaves1) == out1   # strash hit, no new gate
+            assert _gate_list(first) == snapshot
+            for ntk, leaves, out in ((first, leaves1, out1), (second, leaves2, out2)):
+                for lit in [out] + leaves:
+                    ntk.create_po(lit)
+                got, *leaf_tts = ntk.simulate_truth_tables()[-5:]
+                for x in range(1 << ntk.num_pis()):
+                    idx = sum(((t.bits >> x) & 1) << i for i, t in enumerate(leaf_tts))
+                    assert (got.bits >> x) & 1 == (tt.bits >> idx) & 1, method
+
+    def test_memo_is_bounded_and_skips_wide_functions(self):
+        assert PLAN_MEMO_MAX_VARS == 5
+        stats = synthesis_plan_stats()
+        assert stats["limit"] == PLAN_MEMO_LIMIT
+        assert 0 <= stats["size"] <= stats["limit"]
+        _plan_cached.cache_clear()
+        ntk, lits = _host(3)
+        for tt in WIDE:
+            for method in SYNTHESIS_METHODS:
+                synthesize_tt(ntk, tt, lits[:tt.num_vars], method=method)
+        assert synthesis_plan_stats() == {"hits": 0, "misses": 0, "size": 0,
+                                          "limit": PLAN_MEMO_LIMIT}
+        for tt in NARROW[:50]:
+            synthesize_tt(ntk, tt, lits[:tt.num_vars], method="dsd")
+        stats = synthesis_plan_stats()
+        assert stats["misses"] == stats["size"] == len({(t.num_vars, t.bits)
+                                                        for t in NARROW[:50]})

@@ -8,7 +8,12 @@ Measures, on the largest bundled circuit at the selected scale:
   ``_baseline_flat.py`` (seed object-cut enumerator, eager truth tables) —
   the speedup between the two is the flat-core headline number
   (target: >= 3x), and the two cut sets must be **bit-identical**;
-* one full ``lut_map`` run (enumeration + all covering passes).
+* one full ``lut_map`` run (enumeration + all covering passes);
+* the cut database of a Table-II MCH choice network (the circuit's area
+  6-LUT mapping strashed back to an AIG, with XMG choices built by the
+  Table-II parameters), against :class:`BaselineCutDatabase`, the frozen
+  wide-bitmask builder of ``_baseline_flat.py`` — every database array
+  must be identical, and the speedup between the two is recorded.
 
 Results are written to ``benchmarks/results/BENCH_cuts.json`` so successive
 revisions can be compared.
@@ -23,11 +28,13 @@ import pytest
 
 from conftest import RESULTS_DIR, SCALE
 
-from _baseline_flat import baseline_enumerate_cuts
+from _baseline_flat import BaselineCutDatabase, baseline_enumerate_cuts
 from repro.circuits import ALL_BENCHMARKS, build
+from repro.core import MchParams, build_mch
 from repro.cuts import expand_cache_stats
 from repro.cuts.database import CutDatabase
 from repro.mapping import lut_map
+from repro.networks import Aig, Xmg
 
 K = 6
 CUT_LIMIT = 8
@@ -47,6 +54,45 @@ def _cut_signature(cut_lists):
     """Exact content of a cut set: leaves, truth table, root, phase per cut."""
     return [[(c.leaves, c.tt.num_vars, c.tt.bits, c.root, c.phase) for c in cl]
             for cl in cut_lists]
+
+
+#: the flat arrays a cut database is made of
+DB_ARRAYS = ("leaves", "sig", "tt_bits", "tt_vars", "root", "phase", "spans")
+
+
+def table2_choice_network(ntk):
+    """A Table-II MCH choice network: the area 6-LUT mapping of ``ntk``
+    strashed back into a redundant AIG, with XMG choices (the parameters of
+    ``experiments/table2.py``)."""
+    redundant = lut_map(ntk, k=K, objective="area").to_logic_network(Aig)
+    return build_mch(redundant, MchParams(
+        representations=(Xmg,), ratio=1.5, cut_size=6,
+        max_cuts_per_node=4, mffc_max_pis=10,
+    ))
+
+
+def measure_choice(ntk) -> dict:
+    """Choice-network cut database vs the frozen bitmask builder."""
+    ch = table2_choice_network(ntk)
+    args = dict(k=K, cut_limit=CUT_LIMIT, order=ch.processing_order(),
+                choices=ch.choices_of)
+    t0 = time.perf_counter()
+    db = CutDatabase(ch.ntk, **args)
+    t_enum = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    base = BaselineCutDatabase(ch.ntk, **args)
+    t_base = time.perf_counter() - t0
+    return {
+        "choice_nodes": ch.ntk.num_nodes(),
+        "choice_choices": ch.num_choices(),
+        "choice_cuts": db.num_cuts(),
+        "choice_enum_seconds": round(t_enum, 6),
+        "choice_baseline_seconds": round(t_base, 6),
+        "choice_enum_speedup": round(t_base / t_enum, 3) if t_enum > 0 else 0.0,
+        "choice_arrays_identical": all(getattr(db, a) == getattr(base, a)
+                                       for a in DB_ARRAYS),
+        "choice_db_stats": db.stats,
+    }
 
 
 def measure(scale: str = SCALE) -> dict:
@@ -85,6 +131,7 @@ def measure(scale: str = SCALE) -> dict:
         "luts": lut.num_luts(),
         "lut_depth": lut.depth(),
         "cut_db_stats": db.stats,
+        **measure_choice(ntk),
         "expand_cache": expand_cache_stats(),
     }
 
@@ -103,7 +150,8 @@ def write_json(result: dict) -> None:
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(f"\nwrote {path}")
     print(json.dumps({k: v for k, v in result.items()
-                      if k not in ("cut_db_stats", "expand_cache")}, indent=2))
+                      if k not in ("cut_db_stats", "choice_db_stats", "expand_cache")},
+                     indent=2))
 
 
 @pytest.mark.benchmark(group="cuts")
@@ -116,6 +164,9 @@ def test_bench_cuts(benchmark):
     # the flat database must reproduce the frozen enumerator exactly, fast
     assert result["cuts_bit_identical"]
     assert result["enum_speedup"] >= 3.0
+    # ... and the frozen bitmask builder's arrays on a choice network
+    assert result["choice_choices"] > 0
+    assert result["choice_arrays_identical"]
 
 
 if __name__ == "__main__":

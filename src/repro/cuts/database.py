@@ -5,16 +5,25 @@ arrays — interned leaf tuples, 64-bit leaf signatures, truth tables as raw
 ints — computed once and shared by all mapper passes and consumers (LUT
 mapper, ASIC Boolean matcher, graph mapper, MCH candidate generation).
 
-Compared to the original per-mapper enumeration this builder is lazy and
-signature-driven:
+The builder reads only the flat arrays — leaf tuples, their 64-bit
+signatures and sizes, raw truth tables:
 
-* merged leaf sets are deduplicated and dominance-filtered **before** any
-  truth table is computed, so cut functions are evaluated only for the at
-  most ``cut_limit - 1`` cuts that survive per node;
-* dominance (is one cut's leaf set a subset of another's?) is pre-rejected
-  with 64-bit Bloom-style leaf signatures — ``sig(a) & ~sig(b) != 0`` proves
-  non-subset in one integer op, so the exact subset test runs only on the
-  rare signature hits;
+* a merge is rejected when its signature has more than ``k`` bits set
+  (a leaf set has at least as many leaves as its signature has bits), and
+  when the fanin signatures are disjoint the merged size is the sum of the
+  fanin sizes — only overlapping signatures pay for an exact set union;
+* candidates are bucketed by exact size and dominance-filtered smallest
+  first, **before** any truth table is computed, so cut functions are
+  evaluated only for the at most ``cut_limit - 1`` survivors per node;
+  a duplicate leaf set is dominated by its first occurrence (or by what
+  dominated that), so no separate deduplication pass is needed;
+* dominance (is a kept cut's leaf set a subset of the candidate's?) is
+  pre-rejected with the signatures — ``sig(a) & ~sig(b) != 0`` proves
+  non-subset in one integer op, so the exact subset test runs only on
+  signature hits;
+* a survivor's fanin functions are re-expressed over its leaves through
+  the expansion LRU of :mod:`repro.cuts.enumeration`, keyed by function;
+  a fanin cut with the survivor's own leaves needs no expansion;
 * leaf tuples are interned, so equal leaf sets across nodes share one object
   and the database's memory stays proportional to the number of *distinct*
   leaf sets.
@@ -38,19 +47,11 @@ _VAR1_BITS = 2  # TruthTable.var(1, 0).bits — the single-variable projection
 
 # gate kinds as plain ints (the flat core stores kinds as bytes; comparing
 # against ints keeps IntEnum overhead out of the enumeration loop)
-def _mask_leaves(mask: int) -> Tuple[int, ...]:
-    """The ascending leaf tuple of an exact leaf bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 _CONST = int(GateType.CONST)
 _PI = int(GateType.PI)
+_AND = int(GateType.AND)
 _XOR = int(GateType.XOR)    # kinds <= _XOR with fanins are binary gates
+_MAJ = int(GateType.MAJ)
 
 
 def leaf_signature(leaves: Sequence[int]) -> int:
@@ -68,11 +69,19 @@ class CutDatabase:
     flat arrays; the trivial cut of a gate node is always the last record of
     its span.  :meth:`cuts` materializes (and memoizes) the node's records as
     :class:`Cut` objects for consumers that want the object view.
+
+    ``stats`` counts, over all nodes: ``candidates`` — every k-feasible
+    merge of fanin cuts, repeated leaf sets included; ``dominated`` — the
+    candidates examined before the node's budget filled that a kept cut's
+    leaf set is a subset of (repeats of a kept or dominated leaf set are
+    among them); ``subset_checks`` — pairwise candidate/kept-cut
+    comparisons; ``sig_rejections`` — the comparisons the signatures
+    settled without the exact subset test.
     """
 
     __slots__ = (
         "ntk", "k", "cut_limit", "network_version",
-        "leaves", "leaf_mask", "sig", "tt_bits", "tt_vars", "root", "phase",
+        "leaves", "sig", "tt_bits", "tt_vars", "root", "phase",
         "spans", "stats", "_materialized", "_intern",
     )
 
@@ -88,9 +97,6 @@ class CutDatabase:
         n_total = ntk.num_nodes()
         # flat per-cut arrays
         self.leaves: List[Tuple[int, ...]] = []
-        #: exact leaf set of each cut as a node-indexed bitmask — the merge
-        #: loop unions / bounds / dominance-tests cuts in single int ops
-        self.leaf_mask: List[int] = []
         self.sig: List[int] = []
         self.tt_bits: List[int] = []
         self.tt_vars: List[int] = []
@@ -100,10 +106,6 @@ class CutDatabase:
         self.spans: List[Tuple[int, int]] = [(0, 0)] * n_total
         self._materialized: List[Optional[List[Cut]]] = [None] * n_total
         self._intern: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        # subset_checks counts pairwise dominance comparisons; each is one
-        # exact bitmask subset test, so sig_rejections (comparisons settled
-        # by the 64-bit Bloom signature alone, before the masks existed) is
-        # retained for record compatibility but always 0.
         self.stats: Dict[str, int] = {
             "nodes": 0, "cuts": 0, "candidates": 0, "dominated": 0,
             "sig_rejections": 0, "subset_checks": 0,
@@ -150,7 +152,6 @@ class CutDatabase:
 
         # local aliases for the hot loop
         flat_leaves = self.leaves
-        flat_mask = self.leaf_mask
         flat_sig = self.sig
         flat_bits = self.tt_bits
         flat_vars = self.tt_vars
@@ -160,6 +161,7 @@ class CutDatabase:
         intern = self._intern
         stats = self.stats
         limit = max(self.cut_limit - 1, 0)
+        n_cand = n_dominated = n_checks = n_sig_rejections = 0
 
         if order is None:
             order = ntk.topological_order() if hasattr(ntk, "topological_order") \
@@ -174,7 +176,6 @@ class CutDatabase:
             if t == _CONST:
                 empty = intern.setdefault((), ())
                 flat_leaves.append(empty)
-                flat_mask.append(0)
                 flat_sig.append(0)
                 flat_bits.append(0)
                 flat_vars.append(0)
@@ -192,83 +193,122 @@ class CutDatabase:
                 fis = (fanin3[base], fanin3[base + 1])
             else:           # ternary gate kinds (MAJ, XOR3)
                 fis = (fanin3[base], fanin3[base + 1], fanin3[base + 2])
-            fanin_phases = [f & 1 for f in fis]
-            fanin_ranges = [spans[f >> 1] for f in fis]
 
-            # -- candidate merge on exact leaf bitmasks --
-            # a cut's leaf set is one node-indexed bitmask, so the union is
-            # one ``|``, the k-bound one popcount and duplicate detection one
-            # set probe — no per-leaf tuple walking until a cut survives
-            seen = set()
-            cand: List[Tuple[int, Tuple[int, ...]]] = []
+            # -- candidate merge on signatures and leaf tuples --
+            # buckets[n] holds the candidates of exactly n leaves in merge
+            # order, as (signature, fanin cut ids, leaf set or None); the
+            # set is built only when fanin signatures overlap, otherwise the
+            # leaves are disjoint and the size is the sum of the fanin sizes
+            buckets: List[list] = [[] for _ in range(k + 1)]
             if len(fis) == 2:
-                (s0, e0), (s1, e1) = fanin_ranges
+                (s0, e0), (s1, e1) = spans[fis[0] >> 1], spans[fis[1] >> 1]
                 for i0 in range(s0, e0):
-                    m0 = flat_mask[i0]
+                    g0 = flat_sig[i0]
+                    l0 = flat_leaves[i0]
+                    n0 = len(l0)
+                    set0 = None
                     for i1 in range(s1, e1):
-                        merged = m0 | flat_mask[i1]
-                        if merged.bit_count() > k or merged in seen:
+                        g1 = flat_sig[i1]
+                        g = g0 | g1
+                        if g.bit_count() > k:
                             continue
-                        seen.add(merged)
-                        cand.append((merged, (i0, i1)))
+                        if g0 & g1:
+                            if set0 is None:
+                                set0 = set(l0)
+                            u = set0.union(flat_leaves[i1])
+                            n = len(u)
+                        else:
+                            u = None
+                            n = n0 + len(flat_leaves[i1])
+                        if n <= k:
+                            buckets[n].append((g, (i0, i1), u))
             else:
-                (s0, e0), (s1, e1), (s2, e2) = fanin_ranges
+                (s0, e0), (s1, e1), (s2, e2) = (spans[f >> 1] for f in fis)
                 for i0 in range(s0, e0):
-                    m0 = flat_mask[i0]
+                    g0 = flat_sig[i0]
+                    l0 = flat_leaves[i0]
                     for i1 in range(s1, e1):
-                        m01 = m0 | flat_mask[i1]
-                        if m01.bit_count() > k:
+                        g1 = flat_sig[i1]
+                        g01 = g0 | g1
+                        if g01.bit_count() > k:
+                            continue
+                        l1 = flat_leaves[i1]
+                        if g0 & g1:
+                            u01 = set(l0).union(l1)
+                            n01 = len(u01)
+                        else:
+                            u01 = None
+                            n01 = len(l0) + len(l1)
+                        if n01 > k:
                             continue
                         for i2 in range(s2, e2):
-                            merged = m01 | flat_mask[i2]
-                            if merged.bit_count() > k or merged in seen:
+                            g2 = flat_sig[i2]
+                            g = g01 | g2
+                            if g.bit_count() > k:
                                 continue
-                            seen.add(merged)
-                            cand.append((merged, (i0, i1, i2)))
-            stats["candidates"] += len(cand)
+                            if g01 & g2:
+                                if u01 is None:
+                                    u01 = set(l0).union(l1)
+                                u = u01.union(flat_leaves[i2])
+                                n = len(u)
+                            else:
+                                u = None
+                                n = n01 + len(flat_leaves[i2])
+                            if n <= k:
+                                buckets[n].append((g, (i0, i1, i2), u))
 
-            # -- exact dominance on the masks, smallest cuts first --
-            cand.sort(key=lambda c: c[0].bit_count())
-            kept: List[Tuple[int, Tuple[int, ...]]] = []
-            subset_checks = 0
-            for mask, ids in cand:
+            # -- dominance, smallest cuts first --
+            kept: List[tuple] = []
+            for bucket in buckets:
+                n_cand += len(bucket)
                 if len(kept) >= limit:
-                    break
-                not_mask = ~mask
-                dominated = False
-                for kmask, _ in kept:
-                    subset_checks += 1
-                    if not kmask & not_mask:   # kept leaves ⊆ candidate leaves
-                        dominated = True
-                        break
-                if dominated:
-                    stats["dominated"] += 1
                     continue
-                kept.append((mask, ids))
-            stats["subset_checks"] += subset_checks
+                for g, ids, u in bucket:
+                    if len(kept) >= limit:
+                        break
+                    not_g = ~g
+                    for kg, kl, _ in kept:
+                        n_checks += 1
+                        if kg & not_g:    # a kept leaf is not in the candidate
+                            n_sig_rejections += 1
+                            continue
+                        if u is None:
+                            u = set().union(*[flat_leaves[i] for i in ids])
+                        if u.issuperset(kl):
+                            n_dominated += 1
+                            break
+                    else:
+                        if u is None:
+                            u = set().union(*[flat_leaves[i] for i in ids])
+                        leaves = tuple(sorted(u))
+                        kept.append((g, leaves, ids))
 
             # -- truth tables, only for the survivors --
-            for lmask, ids in kept:
-                leaves = _mask_leaves(lmask)
-                sig = 0
-                for i in ids:
-                    sig |= flat_sig[i]
+            for g, leaves, ids in kept:
                 nv = len(leaves)
                 full = (1 << (1 << nv)) - 1
-                pos_of = {leaf: i for i, leaf in enumerate(leaves)}
                 vals = []
-                for i, ph in zip(ids, fanin_phases):
+                for i, f in zip(ids, fis):
+                    bits = flat_bits[i]
                     cl = flat_leaves[i]
-                    positions = tuple(pos_of[x] for x in cl)
-                    bits = _expand_bits(flat_bits[i], positions, nv)
-                    if ph:
+                    if len(cl) != nv:   # equal sizes: same leaves, same order
+                        bits = _expand_bits(
+                            bits, tuple([leaves.index(x) for x in cl]), nv)
+                    if f & 1:
                         bits ^= full
                     vals.append(bits)
-                out = self._apply_gate(t, vals) & full
+                if t == _AND:
+                    out = vals[0] & vals[1]
+                elif t == _XOR:
+                    out = vals[0] ^ vals[1]
+                elif t == _MAJ:
+                    a, b, c = vals
+                    out = (a & b) | (a & c) | (b & c)
+                else:           # XOR3
+                    out = vals[0] ^ vals[1] ^ vals[2]
                 flat_leaves.append(intern.setdefault(leaves, leaves))
-                flat_mask.append(lmask)
-                flat_sig.append(sig)
-                flat_bits.append(out)
+                flat_sig.append(g)
+                flat_bits.append(out & full)
                 flat_vars.append(nv)
                 flat_root.append(node)
                 flat_phase.append(False)
@@ -297,7 +337,6 @@ class CutDatabase:
                     if ch_phase:
                         bits ^= (1 << (1 << flat_vars[i])) - 1
                     flat_leaves.append(flat_leaves[i])
-                    flat_mask.append(flat_mask[i])
                     flat_sig.append(flat_sig[i])
                     flat_bits.append(bits)
                     flat_vars.append(flat_vars[i])
@@ -307,28 +346,19 @@ class CutDatabase:
             self._append_trivial(node)
             spans[node] = (start, len(flat_leaves))
 
+        stats["candidates"] = n_cand
+        stats["dominated"] = n_dominated
+        stats["subset_checks"] = n_checks
+        stats["sig_rejections"] = n_sig_rejections
+
     def _append_trivial(self, node: int) -> None:
         leaves = self._intern.setdefault((node,), (node,))
         self.leaves.append(leaves)
-        self.leaf_mask.append(1 << node)
         self.sig.append(1 << (node & 63))
         self.tt_bits.append(_VAR1_BITS)
         self.tt_vars.append(1)
         self.root.append(node)
         self.phase.append(False)
-
-    @staticmethod
-    def _apply_gate(gate: GateType, vals: List[int]) -> int:
-        if gate == GateType.AND:
-            return vals[0] & vals[1]
-        if gate == GateType.XOR:
-            return vals[0] ^ vals[1]
-        if gate == GateType.MAJ:
-            a, b, c = vals
-            return (a & b) | (a & c) | (b & c)
-        if gate == GateType.XOR3:
-            return vals[0] ^ vals[1] ^ vals[2]
-        raise ValueError(f"unsupported gate {gate}")
 
     # ------------------------------------------------------------------ #
     # views                                                               #
@@ -345,15 +375,14 @@ class CutDatabase:
         """
         got = self._materialized[node]
         if got is None:
-            start, end = self.spans[node]
-            got = [
-                Cut(self.leaves[i],
-                    TruthTable(self.tt_vars[i], self.tt_bits[i]),
-                    self.root[i], self.phase[i])
-                for i in range(start, end)
-            ]
+            got = [self.cut(i) for i in range(*self.spans[node])]
             self._materialized[node] = got
         return got
+
+    def cut(self, i: int) -> Cut:
+        """Record ``i`` of the flat arrays as a fresh :class:`Cut`."""
+        return Cut(self.leaves[i], TruthTable(self.tt_vars[i], self.tt_bits[i]),
+                   self.root[i], self.phase[i])
 
     def cut_lists(self) -> List[List[Cut]]:
         """Per-node cut lists for all nodes (the ``enumerate_cuts`` view)."""

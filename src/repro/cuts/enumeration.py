@@ -13,9 +13,9 @@ mapper passes.  :func:`enumerate_cuts` is the stable list-of-``Cut`` view of
 that database.
 
 This module also owns the truth-table *expansion* machinery (re-expressing a
-cut function over a merged leaf set).  Expansion index maps are memoized in a
-bounded LRU cache; :func:`expand_cache_stats` exposes hit/miss/eviction
-counters so long-running services can monitor it.
+cut function over a merged leaf set).  Expansions are memoized per source
+function and position map in a bounded LRU cache; :func:`expand_cache_stats`
+exposes hit/miss/eviction counters so long-running services can monitor it.
 """
 
 from __future__ import annotations
@@ -34,49 +34,37 @@ __all__ = [
     "clear_expand_cache",
 ]
 
-# LRU cache: (positions, num_vars) -> per-source-minterm destination masks.
-# Entry ``masks[s]`` is the OR of ``1 << m`` over all destination minterms
-# ``m`` that read source minterm ``s``, so applying an expansion is one mask
-# OR per *set* source bit instead of one Python iteration per destination
-# minterm.
-_EXPAND_CACHE: "OrderedDict[Tuple[Tuple[int, ...], int], Tuple[int, ...]]" = OrderedDict()
+# LRU cache: (source bits, positions, num_vars) -> expanded bits.  Cut
+# functions repeat across nodes and networks, so a whole mapping pass needs
+# only a few thousand distinct expansions and almost every lookup hits.
+_EXPAND_CACHE: "OrderedDict[Tuple[int, Tuple[int, ...], int], int]" = OrderedDict()
 _EXPAND_CACHE_LIMIT = 8192
 _EXPAND_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def _expand_masks(key: Tuple[Tuple[int, ...], int]) -> Tuple[int, ...]:
-    """Destination masks for one (positions, num_vars) expansion, LRU-cached."""
+def _expand_bits(src_bits: int, positions: Tuple[int, ...], num_vars: int) -> int:
+    """Raw-int core of :func:`expand_tt`, LRU-cached; ``positions`` must be a
+    tuple."""
+    key = (src_bits, positions, num_vars)
     cache = _EXPAND_CACHE
-    masks = cache.get(key)
-    if masks is not None:
+    bits = cache.get(key)
+    if bits is not None:
         _EXPAND_STATS["hits"] += 1
         cache.move_to_end(key)
-        return masks
+        return bits
     _EXPAND_STATS["misses"] += 1
-    positions, num_vars = key
-    out = [0] * (1 << len(positions))
+    bits = 0
     for m in range(1 << num_vars):
         src = 0
         for i, p in enumerate(positions):
             if (m >> p) & 1:
                 src |= 1 << i
-        out[src] |= 1 << m
-    masks = tuple(out)
-    cache[key] = masks
+        if (src_bits >> src) & 1:
+            bits |= 1 << m
+    cache[key] = bits
     while len(cache) > _EXPAND_CACHE_LIMIT:
         cache.popitem(last=False)
         _EXPAND_STATS["evictions"] += 1
-    return masks
-
-
-def _expand_bits(src_bits: int, positions: Tuple[int, ...], num_vars: int) -> int:
-    """Raw-int core of :func:`expand_tt`; ``positions`` must be a tuple."""
-    masks = _expand_masks((positions, num_vars))
-    bits = 0
-    while src_bits:
-        low = src_bits & -src_bits
-        bits |= masks[low.bit_length() - 1]
-        src_bits ^= low
     return bits
 
 
@@ -90,7 +78,7 @@ def expand_tt(tt: TruthTable, positions: Sequence[int], num_vars: int) -> int:
 
 
 def expand_cache_stats() -> Dict[str, int]:
-    """Counters of the expansion-mask LRU cache (the cache-stats hook)."""
+    """Counters of the expansion LRU cache (the cache-stats hook)."""
     return {
         "hits": _EXPAND_STATS["hits"],
         "misses": _EXPAND_STATS["misses"],
@@ -112,34 +100,9 @@ def set_expand_cache_limit(limit: int) -> None:
 
 
 def clear_expand_cache() -> None:
-    """Drop all cached expansion masks and reset the counters."""
+    """Drop all cached expansions and reset the counters."""
     _EXPAND_CACHE.clear()
     _EXPAND_STATS.update(hits=0, misses=0, evictions=0)
-
-
-def _merge_leaves(a: Tuple[int, ...], b: Tuple[int, ...], k: int):
-    """Sorted union of two leaf tuples, or None if it exceeds ``k``."""
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if len(out) > k:
-            return None
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    if len(out) > k:
-        return None
-    return tuple(out)
 
 
 def enumerate_cuts(ntk, k: int = 6, cut_limit: int = 8,

@@ -16,20 +16,22 @@ This module is the common substrate of all three cut-based mappers:
   once per cut function.
 * :func:`run_cover` is the covering pipeline of the LUT and graph mappers —
   depth-oriented pass, global required times, area-flow recovery and
-  exact-area recovery with reference counting.
+  exact-area recovery with reference counting — run over per-cut records
+  read off the flat cut arrays, with costs compiled once per cut function.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.choice import ChoiceNetwork
 from ..cuts.cut import Cut
 from ..cuts.database import CutDatabase
 from ..cuts.enumeration import expand_cache_stats
-from ..networks.base import LogicNetwork, require_combinational
+from ..networks.base import GateType, LogicNetwork, require_combinational
 from ..synthesis.npn_db import NpnCostCache
 from ..truth.truth_table import TruthTable
 
@@ -38,7 +40,6 @@ __all__ = [
     "MappingCover",
     "CostModel",
     "UnitCostModel",
-    "FunctionCostModel",
     "NpnCostModel",
     "LibraryCostModel",
     "library_cost_model",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 INF = float("inf")
+_PI = int(GateType.PI)   # node kinds above PI are gates
 
 Subject = Union[LogicNetwork, ChoiceNetwork, "MappingSession"]
 
@@ -198,42 +200,26 @@ class MappingSession:
 class CostModel:
     """Protocol of the unified cut cost layer.
 
-    ``cut_cost`` is the area charged for selecting a cut; ``cut_delay`` the
-    delay through it.  Implementations may memoize on the cut function.
+    :meth:`function_costs` gives ``(cost, delay)`` of a cut from its
+    function alone — the area charged for selecting the cut and the delay
+    through it — so the cover compiles both once per distinct cut function.
     """
 
-    def cut_cost(self, cut: Cut) -> float:
+    def function_costs(self, num_vars: int, bits: int) -> Tuple[float, float]:
         raise NotImplementedError
 
+    def cut_cost(self, cut: Cut) -> float:
+        return self.function_costs(cut.tt.num_vars, cut.tt.bits)[0]
+
     def cut_delay(self, cut: Cut) -> float:
-        raise NotImplementedError
+        return self.function_costs(cut.tt.num_vars, cut.tt.bits)[1]
 
 
 class UnitCostModel(CostModel):
     """K-LUT costs: every cut is one LUT, one level."""
 
-    def cut_cost(self, cut: Cut) -> float:
-        return 1.0
-
-    def cut_delay(self, cut: Cut) -> float:
-        return 1
-
-
-class FunctionCostModel(CostModel):
-    """Adapter for ad-hoc callables (the legacy ``cut_cost_fn`` interface)."""
-
-    def __init__(self, cost_fn: Optional[Callable[[Cut], float]] = None,
-                 delay_fn: Optional[Callable[[Cut], float]] = None):
-        if cost_fn is not None:
-            self.cut_cost = cost_fn  # type: ignore[assignment]
-        if delay_fn is not None:
-            self.cut_delay = delay_fn  # type: ignore[assignment]
-
-    def cut_cost(self, cut: Cut) -> float:
-        return 1.0
-
-    def cut_delay(self, cut: Cut) -> float:
-        return 1
+    def function_costs(self, num_vars: int, bits: int) -> Tuple[float, float]:
+        return 1.0, 1
 
 
 class NpnCostModel(CostModel):
@@ -262,16 +248,11 @@ class NpnCostModel(CostModel):
             self._memo[key] = got
         return got
 
-    def cut_cost(self, cut: Cut) -> float:
-        if len(cut.leaves) <= 1:
-            return 0.0
-        return float(self.best(cut.tt)[1])
-
-    def cut_delay(self, cut: Cut) -> float:
-        if len(cut.leaves) <= 1:
-            return 0
-        _, _, depth, has_support = self.best(cut.tt)
-        return max(depth, 1) if has_support else 0
+    def function_costs(self, num_vars: int, bits: int) -> Tuple[float, float]:
+        if num_vars <= 1:   # a wire: nothing to resynthesize
+            return 0.0, 0
+        _, gates, depth, has_support = self.best(TruthTable(num_vars, bits))
+        return float(gates), (max(depth, 1) if has_support else 0)
 
 
 class LibraryCostModel:
@@ -395,184 +376,197 @@ def run_cover(session: MappingSession, cost_model: CostModel, *,
 
 
 class _CoverPipeline:
+    """The cover over per-cut records ``(leaves, cost, delay, index)``,
+    read straight off the cut database's flat arrays; ``index`` is the
+    record's position there, so only the selected cuts become :class:`Cut`
+    objects."""
+
     def __init__(self, session, cost_model, k, cut_limit, objective,
                  flow_iterations, exact_iterations):
         self.session = session
-        self.ntk = session.ntk
+        self.ntk = ntk = session.ntk
         self.order = session.order()
         self.objective = objective
         self.flow_iterations = flow_iterations
         self.exact_iterations = exact_iterations
-        self.cost = cost_model.cut_cost
-        self.delay = cost_model.cut_delay
+        self.cost_model = cost_model
         self.db = session.cut_database(k, cut_limit)
+        self.is_gate = [kind > _PI for kind in ntk.flat.kind]
+        self.po_gate_nodes = [p >> 1 for p in ntk.pos if self.is_gate[p >> 1]]
+
+    def _records(self, gate_nodes: List[int]) -> Dict[int, List[tuple]]:
+        """Per gate node, the records of the cuts it may be implemented by:
+        every cut except its own trivial cut (single-leaf cuts of *other*
+        nodes — absorbed choice buffers — stay usable)."""
+        db = self.db
+        # (cost, delay) compiled once per distinct cut function
+        compiled = lru_cache(maxsize=None)(self.cost_model.function_costs)
+        costs = list(map(compiled, db.tt_vars, db.tt_bits))
+        db_leaves, spans = db.leaves, db.spans
+        usable: Dict[int, List[tuple]] = {}
+        for m in gate_nodes:
+            own = (m,)
+            start, end = spans[m]
+            usable[m] = [(leaves, cd[0], cd[1], i)
+                         for i, leaves, cd in zip(range(start, end), db_leaves[start:end],
+                                                  costs[start:end])
+                         if leaves and leaves != own]
+        return usable
 
     def run(self) -> MappingCover:
-        ntk = self.ntk
-        n = ntk.num_nodes()
-        db = self.db
+        n = self.ntk.num_nodes()
         gate_nodes = self.session.gate_nodes()
-
-        # Cuts a node may be implemented by: every cut except its own
-        # trivial cut (single-leaf cuts of *other* nodes — absorbed choice
-        # buffers — stay usable).  Computed once and reused by every pass.
-        usable: Dict[int, List[Cut]] = {}
-        for m in gate_nodes:
-            usable[m] = [c for c in db.cuts(m)
-                         if len(c.leaves) > 1 or
-                         (len(c.leaves) == 1 and c.leaves[0] != m)]
-
+        usable = self._records(gate_nodes)
         arrival = [0.0] * n
         flow = [0.0] * n
-        best: List[Optional[Cut]] = [None] * n
-        refs = [max(1, r) for r in self.session.initial_refs()]
-        cost = self.cost
-        delay = self.delay
+        best: List[Optional[tuple]] = [None] * n
+        arrival_of = arrival.__getitem__
+
+        def select(refs: List[int], required: List[float], delay_first: bool) -> None:
+            """Each node's best cut by (arrival, area flow), or by (area
+            flow, arrival), among the cuts that meet its required time."""
+            # share[x] == flow[x] / refs[x], kept in step with flow
+            share = [f / r for f, r in zip(flow, refs)]
+            share_of = share.__getitem__
+            for m in gate_nodes:
+                req = required[m]
+                best_key = (INF, INF)
+                for rec in usable[m]:
+                    leaves, cost, delay, _ = rec
+                    arr = delay + max(map(arrival_of, leaves))
+                    if arr > req:
+                        continue
+                    fl = cost + sum(map(share_of, leaves))
+                    key = (arr, fl) if delay_first else (fl, arr)
+                    if key < best_key:
+                        best_key = key
+                        best[m] = rec
+                        arrival[m] = arr
+                        flow[m] = fl
+                        share[m] = fl / refs[m]
+                if best[m] is None:
+                    raise RuntimeError(f"node {m} has no usable cut")
 
         # ---- pass 1: depth-oriented ----
-        delay_first = self.objective == "delay"
-        for m in gate_nodes:
-            best_key = None
-            for cut in usable[m]:
-                arr = delay(cut) + max((arrival[l] for l in cut.leaves), default=0)
-                fl = cost(cut) + sum(flow[l] / refs[l] for l in cut.leaves)
-                key = (arr, fl) if delay_first else (fl, arr)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best[m] = cut
-                    arrival[m] = arr
-                    flow[m] = fl
-            if best[m] is None:
-                raise RuntimeError(f"node {m} has no usable cut")
-
+        select([max(1, r) for r in self.session.initial_refs()], [INF] * n,
+               self.objective == "delay")
         required = self._compute_required(arrival, best)
 
         # ---- pass 2+: area flow under required-time constraint ----
         for _ in range(self.flow_iterations):
-            refs = [max(1, r) for r in self._cover_refs(best)]
-            for m in gate_nodes:
-                best_key = None
-                for cut in usable[m]:
-                    arr = delay(cut) + max((arrival[l] for l in cut.leaves), default=0)
-                    if arr > required[m]:
-                        continue
-                    fl = cost(cut) + sum(flow[l] / refs[l] for l in cut.leaves)
-                    key = (fl, arr)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best[m] = cut
-                        arrival[m] = arr
-                        flow[m] = fl
+            select([max(1, r) for r in self._cover_refs(best)], required, False)
             required = self._compute_required(arrival, best)
 
         # ---- pass 3+: exact local area ----
+        is_gate = self.is_gate
+
+        def cut_ref(rec: tuple) -> float:
+            area = rec[1]
+            for l in rec[0]:
+                map_refs[l] += 1
+                if map_refs[l] == 1 and is_gate[l]:
+                    area += cut_ref(best[l])
+            return area
+
+        def cut_deref(rec: tuple) -> float:
+            area = rec[1]
+            for l in rec[0]:
+                map_refs[l] -= 1
+                if map_refs[l] == 0 and is_gate[l]:
+                    area += cut_deref(best[l])
+            return area
+
         for _ in range(self.exact_iterations):
             map_refs = self._cover_refs(best)
             for m in gate_nodes:
                 if map_refs[m] == 0:
                     continue
-                old_cut = best[m]
-                self._cut_deref(old_cut, map_refs, best)
-                best_key = None
-                best_cut = old_cut
-                for cut in usable[m]:
-                    arr = delay(cut) + max((arrival[l] for l in cut.leaves), default=0)
-                    if arr > required[m]:
+                old_rec = best[m]
+                cut_deref(old_rec)
+                req = required[m]
+                best_key = (INF, INF)
+                best_rec = old_rec
+                for rec in usable[m]:
+                    arr = rec[2] + max(map(arrival_of, rec[0]))
+                    if arr > req:
                         continue
-                    area = self._cut_ref(cut, map_refs, best)
-                    self._cut_deref(cut, map_refs, best)
+                    area = cut_ref(rec)
+                    cut_deref(rec)
                     key = (area, arr)
-                    if best_key is None or key < best_key:
+                    if key < best_key:
                         best_key = key
-                        best_cut = cut
+                        best_rec = rec
                         arrival[m] = arr
-                best[m] = best_cut
-                self._cut_ref(best_cut, map_refs, best)
+                best[m] = best_rec
+                cut_ref(best_rec)
             required = self._compute_required(arrival, best)
 
         return self._derive_cover(best)
 
     # -- helpers -------------------------------------------------------------
 
-    def _compute_required(self, arrival: List[float], best: List[Optional[Cut]]) -> List[float]:
-        ntk = self.ntk
-        n = ntk.num_nodes()
-        required = [INF] * n
-        po_gate_nodes = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
+    def _compute_required(self, arrival: List[float],
+                          best: List[Optional[tuple]]) -> List[float]:
+        is_gate = self.is_gate
+        required = [INF] * len(arrival)
         if self.objective == "delay":
+            po_gate_nodes = self.po_gate_nodes
             target = max((arrival[m] for m in po_gate_nodes), default=0)
             for m in po_gate_nodes:
                 required[m] = target
             # reverse topological propagation through selected cuts
             for m in reversed(self.order):
-                if not ntk.is_gate(m) or required[m] == INF or best[m] is None:
+                rec = best[m]
+                if not is_gate[m] or required[m] == INF or rec is None:
                     continue
-                slack = required[m] - self.delay(best[m])
-                for l in best[m].leaves:
+                slack = required[m] - rec[2]
+                for l in rec[0]:
                     if slack < required[l]:
                         required[l] = slack
         return required
 
-    def _cover_refs(self, best: List[Optional[Cut]]) -> List[int]:
+    def _cover_refs(self, best: List[Optional[tuple]]) -> List[int]:
         """Reference counts of the cover induced by the current best cuts."""
-        ntk = self.ntk
-        refs = [0] * ntk.num_nodes()
-        stack = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
+        is_gate = self.is_gate
+        refs = [0] * len(is_gate)
+        stack = self.po_gate_nodes
         for m in stack:
             refs[m] += 1
         seen = set(stack)
         work = list(seen)
         while work:
             m = work.pop()
-            for l in best[m].leaves:
+            for l in best[m][0]:
                 refs[l] += 1
-                if ntk.is_gate(l) and l not in seen:
+                if is_gate[l] and l not in seen:
                     seen.add(l)
                     work.append(l)
         return refs
 
-    def _cut_ref(self, cut: Cut, refs: List[int], best: List[Optional[Cut]]) -> float:
-        area = self.cost(cut)
-        for l in cut.leaves:
-            refs[l] += 1
-            if refs[l] == 1 and self.ntk.is_gate(l):
-                area += self._cut_ref(best[l], refs, best)
-        return area
-
-    def _cut_deref(self, cut: Cut, refs: List[int], best: List[Optional[Cut]]) -> float:
-        area = self.cost(cut)
-        for l in cut.leaves:
-            refs[l] -= 1
-            if refs[l] == 0 and self.ntk.is_gate(l):
-                area += self._cut_deref(best[l], refs, best)
-        return area
-
-    def _derive_cover(self, best: List[Optional[Cut]]) -> MappingCover:
+    def _derive_cover(self, best: List[Optional[tuple]]) -> MappingCover:
         ntk = self.ntk
-        selection: Dict[int, Cut] = {}
-        needed = set()
-        stack = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
+        is_gate = self.is_gate
+        chosen: Dict[int, tuple] = {}
+        stack = list(self.po_gate_nodes)
         while stack:
             m = stack.pop()
-            if m in needed:
+            if m in chosen:
                 continue
-            needed.add(m)
-            selection[m] = best[m]
-            for l in best[m].leaves:
-                if ntk.is_gate(l):
+            chosen[m] = rec = best[m]
+            for l in rec[0]:
+                if is_gate[l]:
                     stack.append(l)
-        order = [m for m in self.order if m in needed]
-        area = sum(self.cost(c) for c in selection.values())
-        po_gate_nodes = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
+        order = [m for m in self.order if m in chosen]
+        area = sum(rec[1] for rec in chosen.values())
         lev: Dict[int, int] = {}
         for m in order:
-            lev[m] = self.delay(selection[m]) + max(
-                (lev.get(l, 0) for l in selection[m].leaves), default=0
-            )
-        depth_val = max((lev[m] for m in po_gate_nodes), default=0)
+            rec = chosen[m]
+            lev[m] = rec[2] + max((lev.get(l, 0) for l in rec[0]), default=0)
+        depth_val = max((lev[m] for m in self.po_gate_nodes), default=0)
+        cut = self.db.cut
         return MappingCover(
             ntk=ntk,
-            selection=selection,
+            selection={m: cut(rec[3]) for m, rec in chosen.items()},
             order=order,
             depth=depth_val,
             area=area,

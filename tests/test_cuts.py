@@ -1,8 +1,11 @@
 """Tests for priority-cut enumeration and cut functions."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import build
+from repro.core import MchParams, build_mch
 from repro.cuts import (
     Cut,
     CutDatabase,
@@ -12,9 +15,10 @@ from repro.cuts import (
     leaf_signature,
     set_expand_cache_limit,
 )
+from repro.mapping import MappingSession
 from repro.networks import Aig, MixedNetwork, Xmg
 from repro.networks.base import lit_not
-from repro.truth.truth_table import TruthTable
+from repro.truth.truth_table import TruthTable, var_mask
 
 
 def check_cut_functions(ntk, cuts):
@@ -244,6 +248,51 @@ class TestCutDatabase:
         db = CutDatabase(ntk, k=4, cut_limit=8)
         g = max(ntk.gates())
         assert db.cuts(g) is db.cuts(g)
+
+
+class TestChoiceCutOracle:
+    """Choice-network databases (AIG subject + XMG candidates) against
+    exhaustive simulation: every record of a representative, choice cuts
+    included, computes the representative's function over its leaves."""
+
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("name", ["adder", "int2float", "sin"])
+    def test_records_match_representative(self, name, k):
+        ch = build_mch(build(name, "tiny"), MchParams(representations=(Xmg,)))
+        ntk = ch.ntk
+        db = MappingSession.of(ch).cut_database(k, 8)
+        n_pis = ntk.num_pis()
+        mask = (1 << (1 << n_pis)) - 1
+        vals = ntk.simulate_patterns([var_mask(n_pis, i) for i in range(n_pis)], mask)
+        choice_records = 0
+        for node in ch.processing_order():
+            if not ntk.is_gate(node):
+                continue
+            start, end = db.spans[node]
+            assert db.leaves[end - 1] == (node,), f"trivial cut not last at {node}"
+            own = []
+            for i in range(start, end):
+                leaves = db.leaves[i]
+                assert len(leaves) <= k and db.tt_vars[i] == len(leaves)
+                assert db.sig[i] == leaf_signature(leaves)
+                got = 0
+                for m in range(1 << len(leaves)):
+                    if (db.tt_bits[i] >> m) & 1:
+                        term = mask
+                        for j, leaf in enumerate(leaves):
+                            term &= vals[leaf] if (m >> j) & 1 else vals[leaf] ^ mask
+                        got |= term
+                assert got == vals[node], f"record {i} of node {node}"
+                if db.root[i] != node:
+                    choice_records += 1
+                elif i < end - 1:
+                    own.append(set(leaves))
+            leaf_sets = db.leaves[start:end]
+            assert len(set(leaf_sets)) == len(leaf_sets), f"repeated leaf set at {node}"
+            for a in range(len(own)):
+                for b in range(a + 1, len(own)):
+                    assert not own[a] <= own[b], f"dominated cut kept at {node}"
+        assert choice_records > 0
 
 
 class TestExpandCacheBound:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import build
 from repro.core import MchParams, build_mch
-from repro.mapping import graph_map, graph_map_iterate, lut_map
+from repro.mapping import CutMapper, graph_map, graph_map_iterate, lut_map
 from repro.networks import Aig, Mig, MixedNetwork, Xag, Xmg
 from repro.sat import cec
 
@@ -169,3 +169,83 @@ class TestGraphMap:
         ntk.create_po(lits[len(lits) // 2])
         out = graph_map(ntk, Xmg, objective="area")
         assert cec(ntk, out)
+
+
+# Exact QoR of the shared cover (``run_cover``) on plain and MCH choice
+# networks: (LUTs, depth, MappingCover.area) per (circuit, subject,
+# objective), and (gates, depth) per (circuit, subject, target, objective).
+GOLDEN_LUT = {
+    ('adder', 'plain', 'area'): (11, 5, 11.0),
+    ('adder', 'plain', 'delay'): (11, 5, 11.0),
+    ('adder', 'mch', 'area'): (11, 3, 11.0),
+    ('adder', 'mch', 'delay'): (11, 3, 11.0),
+    ('ctrl', 'plain', 'area'): (99, 3, 99.0),
+    ('ctrl', 'plain', 'delay'): (99, 3, 99.0),
+    ('ctrl', 'mch', 'area'): (112, 4, 112.0),
+    ('ctrl', 'mch', 'delay'): (114, 3, 114.0),
+    ('int2float', 'plain', 'area'): (20, 4, 20.0),
+    ('int2float', 'plain', 'delay'): (20, 4, 20.0),
+    ('int2float', 'mch', 'area'): (22, 5, 22.0),
+    ('int2float', 'mch', 'delay'): (22, 5, 22.0),
+    ('router', 'plain', 'area'): (75, 4, 75.0),
+    ('router', 'plain', 'delay'): (77, 3, 77.0),
+    ('router', 'mch', 'area'): (83, 5, 83.0),
+    ('router', 'mch', 'delay'): (84, 4, 84.0),
+}
+GOLDEN_GRAPH = {
+    ('adder', 'plain', 'Xmg', 'area'): (17, 6),
+    ('adder', 'plain', 'Xmg', 'delay'): (17, 6),
+    ('adder', 'plain', 'Xag', 'area'): (32, 11),
+    ('adder', 'plain', 'Xag', 'delay'): (37, 16),
+    ('adder', 'mch', 'Xmg', 'area'): (17, 6),
+    ('adder', 'mch', 'Xmg', 'delay'): (17, 6),
+    ('adder', 'mch', 'Xag', 'area'): (32, 11),
+    ('adder', 'mch', 'Xag', 'delay'): (36, 9),
+    ('ctrl', 'plain', 'Xmg', 'area'): (280, 8),
+    ('ctrl', 'plain', 'Xmg', 'delay'): (280, 8),
+    ('ctrl', 'plain', 'Xag', 'area'): (280, 8),
+    ('ctrl', 'plain', 'Xag', 'delay'): (280, 8),
+    ('ctrl', 'mch', 'Xmg', 'area'): (264, 8),
+    ('ctrl', 'mch', 'Xmg', 'delay'): (263, 8),
+    ('ctrl', 'mch', 'Xag', 'area'): (264, 8),
+    ('ctrl', 'mch', 'Xag', 'delay'): (263, 8),
+    ('int2float', 'plain', 'Xmg', 'area'): (58, 12),
+    ('int2float', 'plain', 'Xmg', 'delay'): (60, 12),
+    ('int2float', 'plain', 'Xag', 'area'): (58, 12),
+    ('int2float', 'plain', 'Xag', 'delay'): (60, 12),
+    ('int2float', 'mch', 'Xmg', 'area'): (57, 12),
+    ('int2float', 'mch', 'Xmg', 'delay'): (64, 12),
+    ('int2float', 'mch', 'Xag', 'area'): (57, 12),
+    ('int2float', 'mch', 'Xag', 'delay'): (64, 12),
+    ('router', 'plain', 'Xmg', 'area'): (238, 9),
+    ('router', 'plain', 'Xmg', 'delay'): (238, 9),
+    ('router', 'plain', 'Xag', 'area'): (238, 9),
+    ('router', 'plain', 'Xag', 'delay'): (238, 9),
+    ('router', 'mch', 'Xmg', 'area'): (234, 9),
+    ('router', 'mch', 'Xmg', 'delay'): (234, 9),
+    ('router', 'mch', 'Xag', 'area'): (234, 9),
+    ('router', 'mch', 'Xag', 'delay'): (234, 9),
+}
+
+
+class TestCoverGolden:
+    """Exact LUT and graph-mapping QoR: a cover change that moves any
+    selected cut fails here."""
+
+    @pytest.mark.parametrize("name", ["adder", "ctrl", "int2float", "router"])
+    def test_lut_and_graph_map_exact(self, name):
+        ntk = build(name, "tiny")
+        subjects = {
+            "plain": ntk,
+            "mch": build_mch(ntk, MchParams(representations=(Xmg,), cut_size=6)),
+        }
+        for kind, subject in subjects.items():
+            for objective in ("area", "delay"):
+                cover = CutMapper(subject, k=6, objective=objective).run()
+                lut = lut_map(subject, k=6, objective=objective)
+                assert (lut.num_luts(), lut.depth(), cover.area) == \
+                    GOLDEN_LUT[(name, kind, objective)], (name, kind, objective)
+                for target in (Xmg, Xag):
+                    out = graph_map(subject, target, objective=objective)
+                    key = (name, kind, target.__name__, objective)
+                    assert (out.num_gates(), out.depth()) == GOLDEN_GRAPH[key], key
